@@ -29,8 +29,10 @@ pub struct Counterexample {
     pub perturbation: u64,
     /// The (possibly shrunk) fault schedule.
     pub schedule: Vec<Step>,
-    /// How many servers the case ran with.
+    /// How many servers the case ran with, across all groups.
     pub n_servers: usize,
+    /// How many replication groups the servers were split across.
+    pub shards: u32,
     /// The failure classification.
     pub kind: FailureKind,
     /// Human-readable description of the violation.
@@ -55,6 +57,7 @@ impl Counterexample {
             perturbation: spec.perturbation,
             schedule: spec.schedule.clone(),
             n_servers: options.n_servers,
+            shards: options.shards,
             kind: failure.kind,
             message: failure.message.clone(),
             event_tail: failure.event_tail.clone(),
@@ -71,11 +74,23 @@ impl Counterexample {
         }
     }
 
-    /// Re-runs the case. A genuine counterexample returns `Err` with the
-    /// same failure it was recorded with (byte-identical determinism is
-    /// pinned down by `tests/explorer_smoke.rs`).
+    /// Re-runs the case on the recorded topology: `n_servers` and
+    /// `shards` come from the artifact, every other knob (packing, fast
+    /// path, injected chaos) from `options`. A genuine counterexample
+    /// returns `Err` with the same failure it was recorded with
+    /// (byte-identical determinism is pinned down by
+    /// `tests/explorer_smoke.rs`).
+    ///
+    /// # Errors
+    ///
+    /// The reproduced [`CaseFailure`].
     pub fn replay(&self, options: &RunOptions) -> Result<CasePass, Box<CaseFailure>> {
-        run_case(&self.spec(), options)
+        let options = RunOptions {
+            n_servers: self.n_servers,
+            shards: self.shards,
+            ..options.clone()
+        };
+        run_case(&self.spec(), &options)
     }
 
     /// Pretty deterministic JSON.
@@ -118,6 +133,7 @@ mod tests {
             perturbation: 2,
             schedule: vec![Step::Split { cut: 2 }, Step::Merge],
             n_servers: 5,
+            shards: 1,
             kind: FailureKind::Consistency,
             message: "total order violated at green position 7".into(),
             event_tail: vec![RecordedEvent {

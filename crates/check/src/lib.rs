@@ -22,14 +22,19 @@
 //!   reuse [`todr_harness::checkers`] through the [`runner`].
 //! * **[`shrink`]** — delta-debugs ([`ddmin`]) a failing
 //!   schedule to a 1-minimal counterexample, which [`artifact`] packages
-//!   as replayable JSON (seed + schedule + event tail + metrics).
+//!   as replayable JSON (seed + topology + schedule + event tail +
+//!   metrics).
 //!
-//! The [`sharded`] module lifts all three to sharded deployments
-//! ([`todr_harness::sharded`]): the per-group oracles re-run unchanged
-//! on each group's slice of the event log, and a cross-shard
-//! serializability oracle ([`check_shard_trace`]) checks atomicity,
-//! prepare/commit phasing, deterministic timestamp merge and pairwise
-//! commit-order consistency of the router's transaction protocol.
+//! One [`runner`] serves every deployment: [`RunOptions::shards`] splits
+//! the replicas into that many replication groups
+//! ([`todr_harness::sharded`]) behind a shard router, and one group is
+//! simply the `S = 1` case. Fault schedules name replicas by flat index,
+//! mapped onto `(group, replica)`. The per-group oracles run unchanged
+//! on each group's slice of the event log, and the cross-shard
+//! serializability oracle ([`check_shard_trace`], in [`sharded`]) checks
+//! atomicity, prepare/commit phasing, deterministic timestamp merge and
+//! pairwise commit-order consistency of the router's transaction
+//! protocol — vacuously with one group, which has no router.
 //!
 //! Everything is deterministic end to end: the same
 //! `(seed, perturbation, schedule)` replays to byte-identical replica
@@ -70,9 +75,5 @@ pub use runner::{
     run_case, tie_break_for, CaseFailure, CasePass, CaseSpec, FailureKind, RunOptions,
 };
 pub use schedule::{generate_schedule, generate_schedule_with, Step};
-pub use sharded::{
-    check_shard_trace, explore_sharded, run_shard_case, shrink_shard_case, ShardCasePass,
-    ShardCounterexample, ShardExploreConfig, ShardExploreReport, ShardRunOptions, ShardTraceStats,
-    ShardTraceViolation,
-};
+pub use sharded::{check_shard_trace, ShardTraceStats, ShardTraceViolation};
 pub use shrink::{ddmin, shrink_case};

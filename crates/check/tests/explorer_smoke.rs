@@ -7,7 +7,9 @@
 //! debug profile (run `cargo test -p todr-check --release` to include
 //! them); the cheap unit tests live next to the modules.
 
-use todr_check::{explore, run_case, CaseSpec, ExploreConfig, RunOptions, Step};
+use todr_check::{
+    explore, run_case, CaseSpec, Counterexample, ExploreConfig, FailureKind, RunOptions, Step,
+};
 
 #[test]
 #[cfg_attr(
@@ -61,7 +63,7 @@ fn identical_specs_replay_byte_identically() {
     // every counter, histogram bucket and recorded protocol event of
     // the two runs matched byte for byte.
     assert_eq!(first, second);
-    assert!(first.green_count > 0);
+    assert!(first.green_counts[0] > 0);
     assert!(!first.metrics_json.is_empty());
 }
 
@@ -94,7 +96,7 @@ fn packed_runs_replay_byte_identically() {
         let first = run_case(&spec, &options).expect("packed case passes");
         let second = run_case(&spec, &options).expect("packed case passes");
         assert_eq!(first, second, "perturbation {perturbation} diverged");
-        assert!(first.green_count > 0);
+        assert!(first.green_counts[0] > 0);
     }
 }
 
@@ -131,4 +133,31 @@ fn perturbations_explore_distinct_interleavings() {
         fifo.metrics_json, seeded.metrics_json,
         "perturbation 1 produced the exact FIFO run — tie-break hook inert?"
     );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "slow under debug profile; run with --release"
+)]
+fn replay_runs_on_the_artifacts_own_topology() {
+    // An artifact recorded on 7 replicas must replay on 7 replicas, not
+    // on whatever replica count the replaying options default to.
+    let ce = Counterexample {
+        explorer_seed: 0,
+        world_seed: 3,
+        perturbation: 0,
+        schedule: vec![Step::Quiet],
+        n_servers: 7,
+        shards: 1,
+        kind: FailureKind::Convergence,
+        message: "hand-built".into(),
+        event_tail: Vec::new(),
+        metrics: None,
+    };
+    let pass = ce
+        .replay(&RunOptions::default())
+        .expect("a quiet case passes");
+    assert_eq!(pass.survivors, (0..7).collect::<Vec<u32>>());
+    assert_eq!(pass.green_counts.len(), 1);
 }

@@ -11,24 +11,27 @@
 //! the identical sweep.
 #![cfg(feature = "chaos-mutations")]
 
-use todr_check::{explore_sharded, FailureKind, ShardExploreConfig, ShardRunOptions};
+use todr_check::{explore, ExploreConfig, FailureKind, RunOptions};
 use todr_shard::ShardChaos;
 
-fn sweep_config(chaos: Option<ShardChaos>) -> ShardExploreConfig {
-    ShardExploreConfig {
+fn sweep_config(chaos: Option<ShardChaos>) -> ExploreConfig {
+    ExploreConfig {
         seed_start: 0,
         seed_count: 4,
         perturbations: 1,
         shrink: true,
-        options: ShardRunOptions {
+        options: RunOptions {
+            n_servers: 6,
+            shards: 2,
             // A dense cross-shard workload: most requests pay the full
             // prepare/merge/commit protocol, so concurrent transactions
             // race on the commit barrier constantly.
             cross_permille: 800,
             #[cfg(feature = "chaos-mutations")]
             shard_chaos: chaos,
-            ..ShardRunOptions::default()
+            ..RunOptions::default()
         },
+        ..ExploreConfig::default()
     }
 }
 
@@ -39,7 +42,7 @@ fn sweep_config(chaos: Option<ShardChaos>) -> ShardExploreConfig {
 )]
 fn explorer_catches_skipped_commit_barrier_and_shrinks_it() {
     let config = sweep_config(Some(ShardChaos::SkipCommitBarrier));
-    let report = explore_sharded(&config, |seed, pert, passed| {
+    let report = explore(&config, |seed, pert, passed| {
         eprintln!(
             "seed {seed} pert {pert}: {}",
             if passed { "ok" } else { "FAIL" }
@@ -95,7 +98,7 @@ fn explorer_catches_skipped_commit_barrier_and_shrinks_it() {
 )]
 fn honest_router_passes_the_same_sweep() {
     let config = sweep_config(None);
-    let report = explore_sharded(&config, |_, _, _| {});
+    let report = explore(&config, |_, _, _| {});
     assert!(
         report.all_passed(),
         "the honest router failed the sweep that catches SkipCommitBarrier: {}",

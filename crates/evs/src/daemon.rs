@@ -5,7 +5,7 @@ use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 use todr_net::{Datagram, NetOp, NodeId};
-use todr_sim::{Actor, ActorId, Ctx, Payload, ProtocolEvent, SimDuration, TraceLevel};
+use todr_sim::{Actor, ActorId, Ctx, Payload, ProtocolEvent, SimDuration};
 
 use crate::channel::{LinkFrame, LinkLayer};
 use crate::fd::FailureDetector;
@@ -502,7 +502,6 @@ impl EvsDaemon {
                 });
             }
             EvsEvent::RegConf(c) => {
-                ctx.trace("evs", format!("install {c}"));
                 ctx.metrics().incr("evs.views_installed", 1);
                 ctx.emit(ProtocolEvent::ViewInstalled {
                     node: self.me.index(),
@@ -512,7 +511,6 @@ impl EvsDaemon {
                 });
             }
             EvsEvent::TransConf(c) => {
-                ctx.trace_at(TraceLevel::Debug, "evs", format!("transitional {c}"));
                 ctx.metrics().incr("evs.transitional_confs", 1);
                 ctx.emit(ProtocolEvent::TransitionalConfig {
                     node: self.me.index(),
@@ -539,11 +537,6 @@ impl EvsDaemon {
         self.stats.gathers_started += 1;
         ctx.metrics().incr("evs.gathers_started", 1);
         let proposal = self.fd.reachable(ctx.now());
-        ctx.trace_at(
-            TraceLevel::Debug,
-            "evs",
-            format!("gather attempt {} proposal {:?}", self.attempt, proposal),
-        );
         let mut gather = GatherState::new(self.attempt, self.me, proposal.clone());
         // Carry forward what peers already announced: a restart must not
         // forget Joins that arrived moments ago, or two nodes can each
@@ -583,11 +576,6 @@ impl EvsDaemon {
         }
         let membership: Vec<NodeId> = gather.proposal.iter().copied().collect();
         let attempt = gather.attempt;
-        ctx.trace_at(
-            TraceLevel::Debug,
-            "evs",
-            format!("flush starts for {membership:?}"),
-        );
         let mut flush = FlushState::new(attempt, membership.clone());
         // Adopt any flush reports that raced ahead of our own phase
         // change.

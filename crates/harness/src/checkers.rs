@@ -3,11 +3,16 @@
 //!
 //! Every invariant has a fallible `verify_*` form returning a typed
 //! [`ConsistencyError`], and a panicking `check_*` wrapper for tests
-//! that want the violation to abort immediately. The cluster-level
-//! entry point is [`try_check_consistency`], which on failure attaches
-//! the tail of the world's typed [`ProtocolEvent`](todr_sim::ProtocolEvent)
-//! log so a violation report shows *what the protocol did* leading up
-//! to the bad state, not just the bad state itself.
+//! that want the violation to abort immediately. The deployment-level
+//! entry points are [`Cluster::try_check_consistency`] and
+//! [`ShardedCluster::try_check_consistency`] (one implementation, per
+//! group), which on failure attach the tail of the group's typed
+//! [`ProtocolEvent`](todr_sim::ProtocolEvent) log so a violation report
+//! shows *what the protocol did* leading up to the bad state, not just
+//! the bad state itself.
+//!
+//! [`Cluster::try_check_consistency`]: crate::cluster::Cluster::try_check_consistency
+//! [`ShardedCluster::try_check_consistency`]: crate::sharded::ShardedCluster::try_check_consistency
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -15,8 +20,6 @@ use std::fmt;
 use todr_core::{ActionId, EngineState};
 use todr_net::NodeId;
 use todr_sim::RecordedEvent;
-
-use crate::cluster::Cluster;
 
 /// A snapshot of one replica's ordering state, for offline comparison.
 #[derive(Debug, Clone)]
@@ -173,25 +176,6 @@ pub struct ConsistencyReport {
     /// Green positions actually compared pairwise (overlap of retained
     /// tails).
     pub positions_compared: u64,
-}
-
-/// Collects every live replica's view.
-pub fn collect_views(cluster: &mut Cluster) -> Vec<ReplicaView> {
-    (0..cluster.servers.len())
-        .map(|i| {
-            let node = cluster.servers[i].node;
-            cluster.with_engine(i, |e| ReplicaView {
-                node,
-                state: e.state(),
-                green_count: e.green_count(),
-                green_floor: e.green_floor(),
-                green_tail: e.green_tail().to_vec(),
-                db_digest: e.db_digest(),
-                white_line: e.white_line(),
-                prim_index: e.prim_component().prim_index,
-            })
-        })
-        .collect()
 }
 
 /// Theorem 1 (Global Total Order): if two servers both performed their
@@ -354,62 +338,6 @@ pub fn check_single_primary(views: &[ReplicaView]) {
 pub fn check_white_line(views: &[ReplicaView]) {
     if let Err(e) = verify_white_line(views) {
         panic!("{e}");
-    }
-}
-
-/// Runs every safety check against the live (non-crashed, non-joining)
-/// replicas of the cluster, returning what was covered or a violation
-/// carrying the recent typed protocol events.
-pub fn try_check_consistency(
-    cluster: &mut Cluster,
-) -> Result<ConsistencyReport, Box<ConsistencyViolation>> {
-    let views: Vec<ReplicaView> = collect_views(cluster)
-        .into_iter()
-        .filter(|v| !matches!(v.state, EngineState::Down | EngineState::Joining))
-        .collect();
-    if views.is_empty() {
-        return Ok(ConsistencyReport {
-            replicas_checked: 0,
-            min_green: 0,
-            max_green: 0,
-            positions_compared: 0,
-        });
-    }
-    let run = |views: &[ReplicaView]| -> Result<u64, ConsistencyError> {
-        let compared = verify_total_order(views)?;
-        verify_fifo_order(views)?;
-        verify_db_convergence(views)?;
-        verify_single_primary(views)?;
-        Ok(compared)
-    };
-    match run(&views) {
-        Ok(positions_compared) => Ok(ConsistencyReport {
-            replicas_checked: views.len(),
-            min_green: views.iter().map(|v| v.green_count).min().unwrap_or(0),
-            max_green: views.iter().map(|v| v.green_count).max().unwrap_or(0),
-            positions_compared,
-        }),
-        Err(error) => {
-            let events = cluster.world.metrics().events();
-            let tail_from = events
-                .len()
-                .saturating_sub(ConsistencyViolation::EVENT_TAIL);
-            Err(Box::new(ConsistencyViolation {
-                error,
-                recent_events: events[tail_from..].to_vec(),
-            }))
-        }
-    }
-}
-
-/// Panicking wrapper over [`try_check_consistency`].
-///
-/// # Panics
-///
-/// Panics on the first violated invariant.
-pub fn check_consistency(cluster: &mut Cluster) {
-    if let Err(v) = try_check_consistency(cluster) {
-        panic!("{v}");
     }
 }
 

@@ -1,18 +1,17 @@
 //! Builds and drives a full simulated deployment of the replication
 //! engine.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use todr_core::{EngineConfig, EngineCtl, EngineState, ReplicationEngine, StorageFault};
-use todr_evs::{EvsCmd, EvsConfig, EvsDaemon};
+use todr_evs::{EvsConfig, EvsDaemon};
 use todr_net::{NetConfig, NetFabric, NodeId};
 use todr_sim::{ActorId, SimDuration, SimTime, TieBreak, World};
-use todr_storage::{DiskActor, DiskMode, DiskOp, StorageHandle};
+use todr_storage::{DiskActor, DiskMode, StorageHandle};
 
 use serde::Serialize;
 
+use crate::checkers::{ConsistencyReport, ConsistencyViolation, ReplicaView};
 use crate::client::{ClientConfig, ClientStats, ClosedLoopClient, StartClient};
+use crate::group::{self, Group, StorageRoot};
 
 /// Which stable-storage backend every server runs on.
 ///
@@ -30,10 +29,6 @@ pub enum BackendKind {
     /// pay real `fsync`s on top of the simulated latency.
     File,
 }
-
-/// Monotonic counter making concurrent clusters' storage roots unique
-/// (shared with [`crate::sharded`]).
-pub(crate) static NEXT_STORAGE_ROOT: AtomicU64 = AtomicU64::new(0);
 
 /// Construction parameters for a [`Cluster`].
 #[derive(Debug, Clone)]
@@ -513,7 +508,7 @@ pub struct Cluster {
     clients: Vec<ClientHandle>,
     /// Per-cluster directory holding every server's file-backed store
     /// (`None` on the sim backend). Removed on drop.
-    storage_root: Option<PathBuf>,
+    storage_root: StorageRoot,
 }
 
 impl Cluster {
@@ -526,44 +521,10 @@ impl Cluster {
     /// cannot be created (set `TODR_STORAGE_DIR` to relocate it off
     /// the default OS temp dir).
     pub fn build(config: ClusterConfig) -> Self {
-        let storage_root = match config.backend {
-            BackendKind::Sim => None,
-            BackendKind::File => {
-                let base = std::env::var_os("TODR_STORAGE_DIR")
-                    .map(PathBuf::from)
-                    .unwrap_or_else(std::env::temp_dir);
-                let n = NEXT_STORAGE_ROOT.fetch_add(1, Ordering::Relaxed);
-                let root = base.join(format!(
-                    "todr-cluster-{}-{}-{n}",
-                    std::process::id(),
-                    config.seed
-                ));
-                std::fs::create_dir_all(&root)
-                    .unwrap_or_else(|e| panic!("create storage root {}: {e}", root.display()));
-                Some(root)
-            }
-        };
-        let mut world = World::new(config.seed);
-        world.set_event_limit(500_000_000);
-        world.set_tie_break(config.tie_break);
-        let fabric = world.add_actor("net", NetFabric::new(config.net.clone()));
-        let nodes: Vec<NodeId> = (0..config.n_servers).map(NodeId::new).collect();
-        let mut servers = Vec::new();
-        for &node in &nodes {
-            let handles = Self::wire_server(
-                &mut world,
-                fabric,
-                node,
-                &nodes,
-                &config,
-                true,
-                storage_root.as_deref(),
-            );
-            servers.push(handles);
-        }
-        for server in &servers {
-            world.schedule_now(server.daemon, EvsCmd::JoinGroup);
-        }
+        let storage_root = StorageRoot::create(config.backend, "cluster", config.seed);
+        let mut world = group::new_world(&config);
+        let group = group::wire_group(&mut world, "net".into(), &config, storage_root.path(), 0);
+        let (fabric, servers) = (group.fabric, group.servers);
         Cluster {
             world,
             fabric,
@@ -577,7 +538,18 @@ impl Cluster {
     /// The directory holding every server's file-backed store, when
     /// running on [`BackendKind::File`].
     pub fn storage_root(&self) -> Option<&std::path::Path> {
-        self.storage_root.as_deref()
+        self.storage_root.path()
+    }
+
+    /// The cluster's one group, split from the world so group-level
+    /// operations can borrow both.
+    fn group(&mut self) -> (&mut World, Group<'_>) {
+        let group = Group {
+            fabric: self.fabric,
+            servers: &self.servers,
+            scope: 0,
+        };
+        (&mut self.world, group)
     }
 
     pub(crate) fn wire_server(
@@ -654,24 +626,8 @@ impl Cluster {
     /// Advances virtual time until the initial primary component forms
     /// (bounded at 5 seconds), or reports how far the cluster got.
     pub fn try_settle(&mut self) -> Result<(), SettleTimeout> {
-        let bound = SimDuration::from_secs(5);
-        let deadline = self.world.now() + bound;
-        loop {
-            self.run_for(SimDuration::from_millis(100));
-            let in_prim = (0..self.servers.len())
-                .filter(|&i| self.engine_state(i) == EngineState::RegPrim)
-                .count();
-            if in_prim == self.servers.len() {
-                return Ok(());
-            }
-            if self.world.now() >= deadline {
-                return Err(SettleTimeout {
-                    waited: bound,
-                    in_prim,
-                    servers: self.servers.len(),
-                });
-            }
-        }
+        let (world, group) = self.group();
+        group::try_settle(world, &[group])
     }
 
     /// Panicking wrapper over [`Cluster::try_settle`].
@@ -712,20 +668,14 @@ impl Cluster {
 
     /// Splits connectivity into the given groups of server indices.
     pub fn partition(&mut self, groups: &[Vec<usize>]) {
-        let node_groups: Vec<Vec<NodeId>> = groups
-            .iter()
-            .map(|g| g.iter().map(|&i| self.servers[i].node).collect())
-            .collect();
-        self.world
-            .with_actor(self.fabric, move |f: &mut NetFabric| {
-                f.set_partition(&node_groups)
-            });
+        let (world, group) = self.group();
+        group.partition(world, groups);
     }
 
     /// Reconnects all partitions.
     pub fn merge_all(&mut self) {
-        self.world
-            .with_actor(self.fabric, |f: &mut NetFabric| f.merge_all());
+        let (world, group) = self.group();
+        group.merge_all(world);
     }
 
     /// Crashes server `idx`: network silenced, daemon and engine wiped,
@@ -747,12 +697,8 @@ impl Cluster {
     }
 
     fn crash_with(&mut self, idx: usize, ctl: EngineCtl) {
-        let s = self.servers[idx];
-        self.world
-            .with_actor(self.fabric, move |f: &mut NetFabric| f.crash(s.node));
-        self.world.schedule_now(s.daemon, EvsCmd::Crash);
-        self.world.schedule_now(s.engine, ctl);
-        self.world.schedule_now(s.disk, DiskOp::Reset);
+        let (world, group) = self.group();
+        group.crash(world, idx, ctl);
     }
 
     /// Flips one random bit in one random persisted log record of
@@ -784,10 +730,8 @@ impl Cluster {
 
     /// Recovers server `idx` from its stable storage.
     pub fn recover(&mut self, idx: usize) {
-        let s = self.servers[idx];
-        self.world
-            .with_actor(self.fabric, move |f: &mut NetFabric| f.recover(s.node));
-        self.world.schedule_now(s.engine, EngineCtl::Recover);
+        let (world, group) = self.group();
+        group.recover(world, idx);
     }
 
     /// Adds a brand-new replica that bootstraps online via
@@ -800,9 +744,9 @@ impl Cluster {
             self.fabric,
             node,
             &known,
-            &self.config.clone(),
+            &self.config,
             false,
-            self.storage_root.clone().as_deref(),
+            self.storage_root.path(),
         );
         let via_node = self.servers[via].node;
         self.world
@@ -857,6 +801,15 @@ impl Cluster {
         &self.clients
     }
 
+    /// Stops every client's closed loop (outstanding requests still
+    /// complete).
+    pub fn stop_clients(&mut self) {
+        for handle in &self.clients {
+            self.world
+                .with_actor(handle.0, |c: &mut ClosedLoopClient| c.stop());
+        }
+    }
+
     // --------------------------------------------------------
     // inspection
     // --------------------------------------------------------
@@ -881,14 +834,21 @@ impl Cluster {
         self.with_engine(idx, |e| e.db_digest())
     }
 
-    /// Verifies cross-replica safety invariants (see
-    /// [`crate::checkers`]); a violation carries the recent typed
-    /// protocol events as context.
+    /// Every replica's view (crashed and joining replicas included;
+    /// filter by state as needed).
+    pub fn views(&mut self) -> Vec<ReplicaView> {
+        let (world, group) = self.group();
+        group.views(world)
+    }
+
+    /// Verifies cross-replica safety invariants over the live
+    /// (non-crashed, non-joining) replicas (see [`crate::checkers`]); a
+    /// violation carries the recent typed protocol events as context.
     pub fn try_check_consistency(
         &mut self,
-    ) -> Result<crate::checkers::ConsistencyReport, Box<crate::checkers::ConsistencyViolation>>
-    {
-        crate::checkers::try_check_consistency(self)
+    ) -> Result<ConsistencyReport, Box<ConsistencyViolation>> {
+        let (world, group) = self.group();
+        group.try_check_consistency(world)
     }
 
     /// Asserts cross-replica safety invariants (panicking wrapper over
@@ -898,7 +858,9 @@ impl Cluster {
     ///
     /// Panics if any invariant is violated.
     pub fn check_consistency(&mut self) {
-        crate::checkers::check_consistency(self);
+        if let Err(v) = self.try_check_consistency() {
+            panic!("{v}");
+        }
     }
 
     /// Deterministic JSON snapshot of the world's typed observability
@@ -916,13 +878,5 @@ impl std::fmt::Debug for Cluster {
             .field("clients", &self.clients.len())
             .field("now", &self.world.now())
             .finish()
-    }
-}
-
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        if let Some(root) = &self.storage_root {
-            let _ = std::fs::remove_dir_all(root);
-        }
     }
 }

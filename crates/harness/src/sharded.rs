@@ -1,14 +1,17 @@
 //! Builds and drives a **sharded** deployment: `S` independent
 //! replication groups — each an unchanged engine + EVS group exactly as
-//! wired by [`Cluster`] — fronted by one
+//! wired by [`Cluster`](crate::cluster::Cluster) — fronted by one
 //! deterministic [`ShardRouter`], all inside a single [`World`].
 //!
 //! Each group lives in its own metric scope (`g0.`, `g1.`, …), so one
 //! [`MetricsExport`](todr_sim::MetricsExport) shows per-group counters
-//! side by side, and in its own [`NetFabric`]: replicas of one group
-//! never even see frames of another — the topology the genuine partial
-//! replication literature calls for, where a replica only pays for the
-//! shards it hosts.
+//! side by side, and in its own [`NetFabric`](todr_net::NetFabric):
+//! replicas of one group never even see frames of another — the
+//! topology the genuine partial replication literature calls for, where
+//! a replica only pays for the shards it hosts. Every group-level
+//! operation (wiring, settle, failure scripting, views, the consistency
+//! check) is the same code a one-group [`Cluster`](crate::cluster::Cluster)
+//! runs.
 //!
 //! ```
 //! use todr_harness::sharded::{ShardClientConfig, ShardedCluster, ShardedConfig};
@@ -24,30 +27,19 @@
 //! cluster.check_consistency();
 //! ```
 
-use std::path::PathBuf;
-use std::sync::atomic::Ordering;
-
 use todr_core::{
-    ClientId, ClientReply, ClientRequest, EngineCtl, EngineState, QuerySemantics, RequestId,
-    UpdateReplyPolicy,
+    ClientId, ClientReply, ClientRequest, EngineCtl, QuerySemantics, RequestId, UpdateReplyPolicy,
 };
 use todr_db::keys::shard_of;
 use todr_db::{Op, Value};
-use todr_evs::EvsCmd;
-use todr_net::{NetFabric, NodeId};
 use todr_shard::{RouterStats, ShardRouter, ShardRouterConfig, ShardTopology};
 use todr_sim::{Actor, ActorId, Ctx, Payload, SimDuration, SimTime, World};
-use todr_storage::DiskOp;
 
-use crate::checkers::{
-    verify_db_convergence, verify_fifo_order, verify_single_primary, verify_total_order,
-    ConsistencyReport, ConsistencyViolation, ReplicaView,
-};
+use crate::checkers::{ConsistencyReport, ConsistencyViolation, ReplicaView};
 use crate::client::{ClientStats, StartClient};
-use crate::cluster::{
-    BackendKind, Cluster, ClusterConfig, InvalidClusterConfig, ServerHandles, SettleTimeout,
-    NEXT_STORAGE_ROOT,
-};
+use crate::cluster::ServerHandles;
+use crate::cluster::{BackendKind, ClusterConfig, InvalidClusterConfig, SettleTimeout};
+use crate::group::{self, Group, StorageRoot};
 
 /// Construction parameters for a [`ShardedCluster`].
 ///
@@ -242,7 +234,8 @@ pub struct ShardedCluster {
     pub router: ActorId,
     config: ShardedConfig,
     clients: Vec<ShardClientHandle>,
-    storage_root: Option<PathBuf>,
+    /// Removes the file-backed stores on drop.
+    _storage_root: StorageRoot,
 }
 
 impl ShardedCluster {
@@ -258,57 +251,24 @@ impl ShardedCluster {
         if let Err(e) = config.validate() {
             panic!("{e}");
         }
-        let storage_root = match config.base.backend {
-            BackendKind::Sim => None,
-            BackendKind::File => {
-                let base = std::env::var_os("TODR_STORAGE_DIR")
-                    .map(PathBuf::from)
-                    .unwrap_or_else(std::env::temp_dir);
-                let n = NEXT_STORAGE_ROOT.fetch_add(1, Ordering::Relaxed);
-                let root = base.join(format!(
-                    "todr-sharded-{}-{}-{n}",
-                    std::process::id(),
-                    config.base.seed
-                ));
-                std::fs::create_dir_all(&root)
-                    .unwrap_or_else(|e| panic!("create storage root {}: {e}", root.display()));
-                Some(root)
-            }
+        let storage_root = StorageRoot::create(config.base.backend, "sharded", config.base.seed);
+        let mut world = group::new_world(&config.base);
+        let group_config = ClusterConfig {
+            n_servers: config.replicas_per_shard(),
+            ..config.base.clone()
         };
-        let per_group = config.replicas_per_shard();
-        let mut world = World::new(config.base.seed);
-        world.set_event_limit(500_000_000);
-        world.set_tie_break(config.base.tie_break);
-        let mut group_config = config.base.clone();
-        group_config.n_servers = per_group;
         let mut groups = Vec::new();
         for g in 0..config.shards {
             let scope = world.register_metric_scope(&format!("g{g}"));
             world.set_build_scope(scope);
-            let fabric =
-                world.add_actor(format!("net-g{g}"), NetFabric::new(config.base.net.clone()));
-            let group_root = storage_root.as_ref().map(|r| r.join(format!("g{g}")));
-            let nodes: Vec<NodeId> = (0..per_group).map(NodeId::new).collect();
-            let mut servers = Vec::new();
-            for &node in &nodes {
-                servers.push(Cluster::wire_server(
-                    &mut world,
-                    fabric,
-                    node,
-                    &nodes,
-                    &group_config,
-                    true,
-                    group_root.as_deref(),
-                ));
-            }
-            for server in &servers {
-                world.schedule_now(server.daemon, EvsCmd::JoinGroup);
-            }
-            groups.push(GroupHandles {
-                fabric,
-                servers,
+            let group_root = storage_root.path().map(|r| r.join(format!("g{g}")));
+            groups.push(group::wire_group(
+                &mut world,
+                format!("net-g{g}"),
+                &group_config,
+                group_root.as_deref(),
                 scope,
-            });
+            ));
         }
         world.set_build_scope(0);
         let topology = ShardTopology {
@@ -330,7 +290,7 @@ impl ShardedCluster {
             router,
             config,
             clients: Vec::new(),
-            storage_root,
+            _storage_root: storage_root,
         }
     }
 
@@ -347,29 +307,14 @@ impl ShardedCluster {
     /// Advances virtual time until every group's primary component forms
     /// (bounded at 5 seconds), or reports how far the slowest group got.
     pub fn try_settle(&mut self) -> Result<(), SettleTimeout> {
-        let bound = SimDuration::from_secs(5);
-        let deadline = self.world.now() + bound;
-        let total: usize = self.groups.iter().map(|g| g.servers.len()).sum();
-        loop {
-            self.run_for(SimDuration::from_millis(100));
-            let in_prim = (0..self.groups.len())
-                .map(|g| {
-                    (0..self.groups[g].servers.len())
-                        .filter(|&i| self.engine_state(g, i) == EngineState::RegPrim)
-                        .count()
-                })
-                .sum::<usize>();
-            if in_prim == total {
-                return Ok(());
-            }
-            if self.world.now() >= deadline {
-                return Err(SettleTimeout {
-                    waited: bound,
-                    in_prim,
-                    servers: total,
-                });
-            }
-        }
+        let groups: Vec<Group<'_>> = self.groups.iter().map(GroupHandles::view).collect();
+        group::try_settle(&mut self.world, &groups)
+    }
+
+    /// Group `group`, split from the world so group-level operations can
+    /// borrow both.
+    fn group(&mut self, group: usize) -> (&mut World, Group<'_>) {
+        (&mut self.world, self.groups[group].view())
     }
 
     /// Panicking wrapper over [`ShardedCluster::try_settle`].
@@ -407,51 +352,39 @@ impl ShardedCluster {
     /// replica indices (fabrics are per-group, so other groups are
     /// unaffected).
     pub fn partition(&mut self, group: usize, sets: &[Vec<usize>]) {
-        let node_groups: Vec<Vec<NodeId>> = sets
-            .iter()
-            .map(|s| {
-                s.iter()
-                    .map(|&i| self.groups[group].servers[i].node)
-                    .collect()
-            })
-            .collect();
-        let fabric = self.groups[group].fabric;
-        self.world.with_actor(fabric, move |f: &mut NetFabric| {
-            f.set_partition(&node_groups)
-        });
+        let (world, group) = self.group(group);
+        group.partition(world, sets);
     }
 
     /// Reconnects all partitions within group `group`.
     pub fn merge_all(&mut self, group: usize) {
-        let fabric = self.groups[group].fabric;
-        self.world
-            .with_actor(fabric, |f: &mut NetFabric| f.merge_all());
+        let (world, group) = self.group(group);
+        group.merge_all(world);
     }
 
     /// Crashes replica `idx` of group `group` (clean or torn according
-    /// to the base config, as in [`Cluster::crash`]).
+    /// to the base config, as in [`Cluster::crash`](crate::cluster::Cluster::crash)).
     pub fn crash(&mut self, group: usize, idx: usize) {
         let ctl = if self.config.base.torn_crashes {
             EngineCtl::CrashTorn
         } else {
             EngineCtl::Crash
         };
-        let fabric = self.groups[group].fabric;
-        let s = self.groups[group].servers[idx];
-        self.world
-            .with_actor(fabric, move |f: &mut NetFabric| f.crash(s.node));
-        self.world.schedule_now(s.daemon, EvsCmd::Crash);
-        self.world.schedule_now(s.engine, ctl);
-        self.world.schedule_now(s.disk, DiskOp::Reset);
+        let (world, group) = self.group(group);
+        group.crash(world, idx, ctl);
+    }
+
+    /// Crashes replica `idx` of group `group` with a torn write at the
+    /// crash boundary, regardless of the base config's `torn_crashes`.
+    pub fn crash_torn(&mut self, group: usize, idx: usize) {
+        let (world, group) = self.group(group);
+        group.crash(world, idx, EngineCtl::CrashTorn);
     }
 
     /// Recovers replica `idx` of group `group` from its stable storage.
     pub fn recover(&mut self, group: usize, idx: usize) {
-        let fabric = self.groups[group].fabric;
-        let s = self.groups[group].servers[idx];
-        self.world
-            .with_actor(fabric, move |f: &mut NetFabric| f.recover(s.node));
-        self.world.schedule_now(s.engine, EngineCtl::Recover);
+        let (world, group) = self.group(group);
+        group.recover(world, idx);
     }
 
     // --------------------------------------------------------
@@ -524,11 +457,6 @@ impl ShardedCluster {
             .with_actor(self.groups[group].servers[idx].engine, f)
     }
 
-    /// Protocol state of replica `idx` in group `group`.
-    pub fn engine_state(&mut self, group: usize, idx: usize) -> EngineState {
-        self.with_engine(group, idx, |e| e.state())
-    }
-
     /// Green action count of replica `idx` in group `group`.
     pub fn green_count(&mut self, group: usize, idx: usize) -> u64 {
         self.with_engine(group, idx, |e| e.green_count())
@@ -549,21 +477,8 @@ impl ShardedCluster {
     /// Collects every replica view of group `group` (crashed and
     /// joining replicas included; filter by state as needed).
     pub fn group_views(&mut self, group: usize) -> Vec<ReplicaView> {
-        (0..self.groups[group].servers.len())
-            .map(|i| {
-                let node = self.groups[group].servers[i].node;
-                self.with_engine(group, i, |e| ReplicaView {
-                    node,
-                    state: e.state(),
-                    green_count: e.green_count(),
-                    green_floor: e.green_floor(),
-                    green_tail: e.green_tail().to_vec(),
-                    db_digest: e.db_digest(),
-                    white_line: e.white_line(),
-                    prim_index: e.prim_component().prim_index,
-                })
-            })
-            .collect()
+        let (world, group) = self.group(group);
+        group.views(world)
     }
 
     /// Verifies every group's safety invariants (Theorem 1 holds **per
@@ -573,55 +488,12 @@ impl ShardedCluster {
     pub fn try_check_consistency(
         &mut self,
     ) -> Result<Vec<ConsistencyReport>, Box<ConsistencyViolation>> {
-        let mut reports = Vec::new();
-        for g in 0..self.groups.len() {
-            let views: Vec<ReplicaView> = self
-                .group_views(g)
-                .into_iter()
-                .filter(|v| !matches!(v.state, EngineState::Down | EngineState::Joining))
-                .collect();
-            if views.is_empty() {
-                reports.push(ConsistencyReport {
-                    replicas_checked: 0,
-                    min_green: 0,
-                    max_green: 0,
-                    positions_compared: 0,
-                });
-                continue;
-            }
-            let run = || -> Result<u64, crate::checkers::ConsistencyError> {
-                let compared = verify_total_order(&views)?;
-                verify_fifo_order(&views)?;
-                verify_db_convergence(&views)?;
-                verify_single_primary(&views)?;
-                Ok(compared)
-            };
-            match run() {
-                Ok(positions_compared) => reports.push(ConsistencyReport {
-                    replicas_checked: views.len(),
-                    min_green: views.iter().map(|v| v.green_count).min().unwrap_or(0),
-                    max_green: views.iter().map(|v| v.green_count).max().unwrap_or(0),
-                    positions_compared,
-                }),
-                Err(error) => {
-                    let scope = self.groups[g].scope;
-                    let events = self.world.metrics().events();
-                    let group_events: Vec<_> = events
-                        .iter()
-                        .filter(|e| e.group == scope)
-                        .cloned()
-                        .collect();
-                    let tail_from = group_events
-                        .len()
-                        .saturating_sub(ConsistencyViolation::EVENT_TAIL);
-                    return Err(Box::new(ConsistencyViolation {
-                        error,
-                        recent_events: group_events[tail_from..].to_vec(),
-                    }));
-                }
-            }
-        }
-        Ok(reports)
+        (0..self.groups.len())
+            .map(|g| {
+                let (world, group) = self.group(g);
+                group.try_check_consistency(world)
+            })
+            .collect()
     }
 
     /// Asserts every group's safety invariants (panicking wrapper over
@@ -651,14 +523,6 @@ impl std::fmt::Debug for ShardedCluster {
             .field("clients", &self.clients.len())
             .field("now", &self.world.now())
             .finish()
-    }
-}
-
-impl Drop for ShardedCluster {
-    fn drop(&mut self) {
-        if let Some(root) = &self.storage_root {
-            let _ = std::fs::remove_dir_all(root);
-        }
     }
 }
 

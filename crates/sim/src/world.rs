@@ -8,7 +8,6 @@ use crate::event::{IntoPayload, Payload, QueuedEvent};
 use crate::metrics::{MetricsHub, ProtocolEvent};
 use crate::rng::{splitmix64, SimRng};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Trace, TraceLevel};
 
 /// Policy for ordering events scheduled at the same virtual instant.
 ///
@@ -55,15 +54,14 @@ impl TieBreak {
 /// event.
 ///
 /// All actor side effects flow through the context: scheduling future
-/// events ([`Ctx::send_after`]), randomness ([`Ctx::rng`]) and tracing
-/// ([`Ctx::trace`]). Effects are buffered and applied by the [`World`]
+/// events ([`Ctx::send_after`]), randomness ([`Ctx::rng`]) and metrics
+/// ([`Ctx::metrics`], [`Ctx::emit`]). Effects are buffered and applied by the [`World`]
 /// after the handler returns, which keeps event execution atomic.
 pub struct Ctx<'a> {
     now: SimTime,
     self_id: ActorId,
     rng: &'a mut SimRng,
     fault_rng: &'a mut SimRng,
-    trace: &'a mut Trace,
     metrics: &'a mut MetricsHub,
     pending: Vec<(SimTime, ActorId, Payload)>,
 }
@@ -131,22 +129,6 @@ impl<'a> Ctx<'a> {
         self.fault_rng
     }
 
-    /// Records an info-level trace entry.
-    pub fn trace(&mut self, category: &'static str, message: impl Into<String>) {
-        self.trace_at(TraceLevel::Info, category, message);
-    }
-
-    /// Records a trace entry at an explicit level.
-    pub fn trace_at(
-        &mut self,
-        level: TraceLevel,
-        category: &'static str,
-        message: impl Into<String>,
-    ) {
-        self.trace
-            .record(self.now, self.self_id, level, category, message.into());
-    }
-
     /// The world's metrics hub (counters and histograms).
     pub fn metrics(&mut self) -> &mut MetricsHub {
         self.metrics
@@ -167,8 +149,8 @@ struct Slot {
     scope: u32,
 }
 
-/// The simulation world: owns the clock, the event queue, the RNG, the
-/// trace, and every registered actor.
+/// The simulation world: owns the clock, the event queue, the RNGs, the
+/// metrics hub, and every registered actor.
 ///
 /// A typical run builds the world, registers the actors bottom-up (network
 /// fabric, then protocol daemons, then clients), injects the initial
@@ -179,7 +161,6 @@ pub struct World {
     actors: Vec<Slot>,
     rng: SimRng,
     fault_rng: SimRng,
-    trace: Trace,
     metrics: MetricsHub,
     next_seq: u64,
     events_processed: u64,
@@ -203,7 +184,6 @@ impl World {
             actors: Vec::new(),
             rng: SimRng::new(seed),
             fault_rng: SimRng::new(splitmix64(seed ^ 0xFA01_7FA0_17FA_017F)),
-            trace: Trace::default(),
             metrics: MetricsHub::new(),
             next_seq: 0,
             events_processed: 0,
@@ -398,7 +378,6 @@ impl World {
             self_id: event.target,
             rng: &mut self.rng,
             fault_rng: &mut self.fault_rng,
-            trace: &mut self.trace,
             metrics: &mut self.metrics,
             pending: std::mem::take(&mut self.scratch),
         };
@@ -439,16 +418,6 @@ impl World {
     pub fn run_for(&mut self, duration: SimDuration) {
         let deadline = self.now + duration;
         self.run_until(deadline);
-    }
-
-    /// The world's trace buffer.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Mutable access to the trace buffer (to adjust level / echo).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// The world's RNG (e.g. for workload generation outside actors).
