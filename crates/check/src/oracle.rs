@@ -975,6 +975,30 @@ mod tests {
     }
 
     #[test]
+    fn red_line_regression_is_caught_and_reset_by_crash() {
+        let falling = vec![
+            rec(E::RedLineAdvance { node: 0, red: 7 }),
+            rec(E::RedLineAdvance { node: 0, red: 3 }),
+        ];
+        assert!(matches!(
+            check_trace(&falling, &BTreeSet::new()).unwrap_err(),
+            TraceViolation::RedLineRegression {
+                node: 0,
+                from: 7,
+                to: 3
+            }
+        ));
+
+        // The same drop across a crash is a new incarnation's red line.
+        let with_crash = vec![
+            falling[0].clone(),
+            rec(E::EngineCrashed { node: 0 }),
+            falling[1].clone(),
+        ];
+        check_trace(&with_crash, &BTreeSet::new()).unwrap();
+    }
+
+    #[test]
     fn recovery_cannot_restore_more_than_was_announced() {
         let events = vec![
             rec(E::GreenLineAdvance { node: 0, green: 5 }),

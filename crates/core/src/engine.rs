@@ -25,7 +25,7 @@ use crate::quorum::{
 };
 use crate::semantics::{QuerySemantics, UpdateReplyPolicy};
 use crate::types::{
-    ClientReply, ClientRequest, EngineConfig, EngineCtl, EngineStats, StorageFault, TransferWire,
+    ClientReply, ClientRequest, EngineConfig, EngineCtl, StorageFault, TransferWire,
 };
 
 /// The engine's protocol state (Figure 4 of the paper, plus the
@@ -264,7 +264,6 @@ pub struct ReplicationEngine {
     /// overhead — see [`EngineConfig::cpu_burst_overhead`]).
     last_green_charge: Option<SimTime>,
     green_burst_len: u64,
-    stats: EngineStats,
     join_targets: Vec<NodeId>,
     join_target_idx: usize,
     /// Joiners we have already announced with a PERSISTENT_JOIN that has
@@ -350,7 +349,6 @@ impl ReplicationEngine {
             cpu: CpuMeter::new(),
             last_green_charge: None,
             green_burst_len: 0,
-            stats: EngineStats::default(),
             join_targets: Vec::new(),
             join_target_idx: 0,
             pending_joins: BTreeSet::new(),
@@ -370,11 +368,6 @@ impl ReplicationEngine {
     /// Current protocol state.
     pub fn state(&self) -> EngineState {
         self.state
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> EngineStats {
-        self.stats
     }
 
     /// Why the last recovery attempt fail-stopped, if it did. `None`
@@ -559,7 +552,6 @@ impl ReplicationEngine {
         self.next_sync_token += 1;
         let token = SyncToken(self.next_sync_token);
         self.pending_syncs.insert(token, after);
-        self.stats.syncs_requested += 1;
         ctx.metrics().incr("engine.syncs_requested", 1);
         let me = ctx.self_id();
         ctx.send_now(
@@ -614,7 +606,6 @@ impl ReplicationEngine {
     }
 
     fn reply(&mut self, ctx: &mut Ctx<'_>, at: SimTime, to: ActorId, reply: ClientReply) {
-        self.stats.replies_sent += 1;
         ctx.metrics().incr("engine.replies_sent", 1);
         ctx.send_at(at.max(ctx.now()), to, reply);
     }
@@ -675,7 +666,6 @@ impl ReplicationEngine {
         self.store
             .append_log_typed(&PersistEntry::Accepted(action.clone()))
             .expect("serialize action");
-        self.stats.marked_red += 1;
         ctx.metrics().incr("engine.marked_red", 1);
         ctx.emit(ProtocolEvent::ActionOrdered {
             node: self.cfg.me.index(),
@@ -685,7 +675,7 @@ impl ReplicationEngine {
         });
         ctx.emit(ProtocolEvent::RedLineAdvance {
             node: self.cfg.me.index(),
-            red: self.stats.marked_red,
+            red: self.red_cut.values().sum(),
         });
         self.dirty_db = None;
         if id.server == self.cfg.me {
@@ -731,7 +721,6 @@ impl ReplicationEngine {
         self.mark_red(ctx, action);
         if self.actions.contains_key(&action.id) && !self.yellow.set.contains(&action.id) {
             self.yellow.set.push(action.id);
-            self.stats.marked_yellow += 1;
             ctx.metrics().incr("engine.marked_yellow", 1);
             ctx.emit(ProtocolEvent::ActionOrdered {
                 node: self.cfg.me.index(),
@@ -769,7 +758,6 @@ impl ReplicationEngine {
         self.store
             .append_log_typed(&PersistEntry::Green(id))
             .expect("serialize green mark");
-        self.stats.marked_green += 1;
         ctx.metrics().incr("engine.marked_green", 1);
         ctx.emit(ProtocolEvent::ActionOrdered {
             node: self.cfg.me.index(),
@@ -963,7 +951,6 @@ impl ReplicationEngine {
             && !matches!(self.state, EngineState::Down | EngineState::Joining)
         {
             let query = req.query.clone().expect("just checked");
-            self.stats.lease_reads += 1;
             ctx.metrics().incr("engine.lease_reads", 1);
             self.emit_read_served(ctx, &query, ReadTier::LeaseLinearizable, false);
             let result = self.db.query(&query);
@@ -1049,7 +1036,6 @@ impl ReplicationEngine {
             },
             size_bytes: req.size_bytes,
         };
-        self.stats.actions_created += 1;
         ctx.metrics().incr("engine.actions_created", 1);
         ctx.emit(ProtocolEvent::ActionCreated {
             node: self.cfg.me.index(),
@@ -1190,7 +1176,6 @@ impl ReplicationEngine {
         let query = req.query.clone().expect("query-only request");
         match tier {
             ReadConsistency::GreenSnapshot => {
-                self.stats.snapshot_reads += 1;
                 ctx.metrics().incr("engine.snapshot_reads", 1);
                 self.emit_read_served(ctx, &query, ReadTier::GreenSnapshot, false);
                 let result = self.db.query(&query);
@@ -1207,7 +1192,6 @@ impl ReplicationEngine {
                 );
             }
             ReadConsistency::RedOverlay => {
-                self.stats.overlay_reads += 1;
                 ctx.metrics().incr("engine.overlay_reads", 1);
                 self.emit_read_served(ctx, &query, ReadTier::RedOverlay, true);
                 let result = self.dirty_view().query(&query);
@@ -1232,7 +1216,6 @@ impl ReplicationEngine {
                 // ordered and answered from the green database at apply
                 // time — in `NonPrim` it turns red and is answered after
                 // the next merge with the primary.
-                self.stats.ordered_reads += 1;
                 ctx.metrics().incr("engine.ordered_reads", 1);
                 let mut req = req;
                 req.reply_policy = UpdateReplyPolicy::OnGreen;
@@ -1274,12 +1257,10 @@ impl ReplicationEngine {
             _ => return false,
         };
         if self.lease_read_conflict(&query) {
-            self.stats.lease_reads_parked += 1;
             ctx.metrics().incr("engine.lease_reads_parked", 1);
             self.parked_lease.push(req.clone());
             return true;
         }
-        self.stats.lease_reads += 1;
         ctx.metrics().incr("engine.lease_reads", 1);
         self.emit_read_served(ctx, &query, ReadTier::LeaseLinearizable, false);
         let result = self.db.query(&query);
@@ -1360,10 +1341,8 @@ impl ReplicationEngine {
         self.lease_epoch = self.conf_epoch;
         self.lease_expiry = ctx.now() + self.cfg.lease_duration;
         if renewal {
-            self.stats.lease_renewals += 1;
             ctx.metrics().incr("engine.lease_renewals", 1);
         } else {
-            self.stats.lease_grants += 1;
             ctx.metrics().incr("engine.lease_grants", 1);
         }
         ctx.emit(ProtocolEvent::LeaseGranted {
@@ -1396,7 +1375,6 @@ impl ReplicationEngine {
     /// an expiration only if the lease was still live.
     fn expire_lease(&mut self, ctx: &mut Ctx<'_>) {
         if self.lease_valid(ctx.now()) {
-            self.stats.lease_expirations += 1;
             ctx.metrics().incr("engine.lease_expirations", 1);
         }
         self.lease_expiry = SimTime::ZERO;
@@ -1464,7 +1442,6 @@ impl ReplicationEngine {
         // owed replies fall back to firing on green).
         let demoted = self.pending_fast.len() as u64;
         if demoted > 0 {
-            self.stats.fast_demotions_on_view_change += demoted;
             ctx.metrics()
                 .incr("engine.fast_demotions_on_view_change", demoted);
         }
@@ -1563,7 +1540,6 @@ impl ReplicationEngine {
                     let id = self.green_tail[idx];
                     let action = self.actions.get(&id).expect("green body retained").clone();
                     let size = action.size_bytes + 16;
-                    self.stats.retransmitted += 1;
                     ctx.metrics().incr("engine.retransmitted", 1);
                     self.send_group(
                         ctx,
@@ -1601,7 +1577,6 @@ impl ReplicationEngine {
                 }
                 let action = self.actions.get(&id).expect("red body present").clone();
                 let size = action.size_bytes + 16;
-                self.stats.retransmitted += 1;
                 ctx.metrics().incr("engine.retransmitted", 1);
                 self.send_group(
                     ctx,
@@ -1721,7 +1696,6 @@ impl ReplicationEngine {
     /// `End_of_retrans` (CodeSegment A.5) + `ComputeKnowledge` (A.7) +
     /// `IsQuorum` (A.8).
     fn end_of_retrans(&mut self, ctx: &mut Ctx<'_>) {
-        self.stats.exchanges_completed += 1;
         ctx.metrics().incr("engine.exchanges_completed", 1);
         ctx.emit(ProtocolEvent::SyncCompleted {
             node: self.cfg.me.index(),
@@ -1896,7 +1870,6 @@ impl ReplicationEngine {
             self.checkpoint();
             self.note_retained(ctx);
         }
-        self.stats.primaries_installed += 1;
         ctx.metrics().incr("engine.primaries_installed", 1);
         self.persist_membership_records();
     }
@@ -2062,7 +2035,6 @@ impl ReplicationEngine {
         };
         let class = classify(update, query.as_ref());
         if class.unbounded() || self.fast_conflict(&class, id) {
-            self.stats.fast_demotions += 1;
             ctx.metrics().incr("engine.fast_demotions", 1);
             ctx.emit(ProtocolEvent::FastDemoted {
                 node: self.cfg.me.index(),
@@ -2147,7 +2119,6 @@ impl ReplicationEngine {
         let Some(p) = self.pending_replies.remove(&id) else {
             return;
         };
-        self.stats.fast_commits += 1;
         ctx.metrics().incr("engine.fast_commits", 1);
         let latency = ctx.now().saturating_since(p.submitted_at);
         ctx.metrics().observe("engine.fast_commit_latency", latency);
@@ -2315,7 +2286,6 @@ impl ReplicationEngine {
             kind,
             size_bytes: 64,
         };
-        self.stats.actions_created += 1;
         ctx.metrics().incr("engine.actions_created", 1);
         ctx.emit(ProtocolEvent::ActionCreated {
             node: self.cfg.me.index(),

@@ -3,15 +3,30 @@
 //! and by tests that assert on protocol costs (e.g. "no per-action
 //! acknowledgements").
 
+use std::collections::BTreeMap;
 use std::fmt;
 
-use todr_core::{EngineState, EngineStats};
-use todr_evs::EvsStats;
-use todr_net::{NetFabric, NetStats, NodeId};
+use todr_core::EngineState;
+use todr_net::NodeId;
 use todr_sim::{MetricsExport, SimTime};
-use todr_storage::{DiskActor, DiskStats};
 
 use crate::cluster::Cluster;
+
+/// The per-server counters a report captures, in display order.
+const SERVER_COUNTERS: [&str; 12] = [
+    "engine.actions_created",
+    "engine.marked_red",
+    "engine.marked_yellow",
+    "storage.sync_requests",
+    "storage.forced_writes",
+    "engine.exchanges_completed",
+    "engine.primaries_installed",
+    "evs.submitted",
+    "evs.sequenced",
+    "evs.delivered_safe",
+    "evs.delivered_trans",
+    "evs.views_installed",
+];
 
 /// One server's counters.
 #[derive(Debug, Clone)]
@@ -20,14 +35,18 @@ pub struct ServerReport {
     pub node: NodeId,
     /// Protocol state at capture time.
     pub state: EngineState,
-    /// Engine counters.
-    pub engine: EngineStats,
-    /// Group-communication counters.
-    pub evs: EvsStats,
-    /// Disk counters.
-    pub disk: DiskStats,
     /// Green count at capture time.
     pub green: u64,
+    /// The server's share of the engine, EVS and storage counters (its
+    /// engine, daemon and disk actors summed), by metric name.
+    pub counters: BTreeMap<&'static str, u64>,
+}
+
+impl ServerReport {
+    /// The server's share of counter `name` (0 if not captured).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
 }
 
 /// Cluster-wide counters at one instant.
@@ -35,8 +54,6 @@ pub struct ServerReport {
 pub struct ClusterReport {
     /// Capture time.
     pub at: SimTime,
-    /// Fabric counters.
-    pub net: NetStats,
     /// Per-server rows.
     pub servers: Vec<ServerReport>,
     /// The world's typed observability bus: every counter and latency
@@ -48,36 +65,35 @@ pub struct ClusterReport {
 impl ClusterReport {
     /// Captures a report from a cluster.
     pub fn capture(cluster: &mut Cluster) -> Self {
-        let net = cluster
-            .world
-            .with_actor(cluster.fabric, |f: &mut NetFabric| f.stats());
         let servers = (0..cluster.servers.len())
             .map(|i| {
                 let handles = cluster.servers[i];
-                let (state, engine, green) =
-                    cluster.with_engine(i, |e| (e.state(), e.stats(), e.green_count()));
-                let evs = cluster
-                    .world
-                    .with_actor(handles.daemon, |d: &mut todr_evs::EvsDaemon| d.stats());
-                let disk = cluster
-                    .world
-                    .with_actor(handles.disk, |d: &mut DiskActor| d.stats());
+                let (state, green) = cluster.with_engine(i, |e| (e.state(), e.green_count()));
+                let hub = cluster.world.metrics();
+                let actors = [handles.engine, handles.daemon, handles.disk];
+                let counters = BTreeMap::from(SERVER_COUNTERS.map(|name| {
+                    let share = actors.iter().map(|&a| hub.actor_counter(a, name)).sum();
+                    (name, share)
+                }));
                 ServerReport {
                     node: handles.node,
                     state,
-                    engine,
-                    evs,
-                    disk,
                     green,
+                    counters,
                 }
             })
             .collect();
         ClusterReport {
             at: cluster.now(),
-            net,
             servers,
             metrics: cluster.metrics_export(),
         }
+    }
+
+    /// The world-wide counter `name` at capture time (0 if never
+    /// incremented).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.metrics.counters.get(name).copied().unwrap_or(0)
     }
 
     /// The observability bus as deterministic, pretty-printed JSON —
@@ -88,55 +104,50 @@ impl ClusterReport {
 
     /// Total forced-write requests across the cluster.
     pub fn total_syncs(&self) -> u64 {
-        self.servers.iter().map(|s| s.disk.sync_requests).sum()
+        self.counter("storage.sync_requests")
     }
 
     /// Total actions marked green across the cluster (sum over
     /// replicas; divide by the replica count for unique actions).
     pub fn total_green_marks(&self) -> u64 {
-        self.servers.iter().map(|s| s.engine.marked_green).sum()
+        self.counter("engine.marked_green")
     }
 
     /// Total actions created (unique actions entering the system).
     pub fn total_actions_created(&self) -> u64 {
-        self.servers.iter().map(|s| s.engine.actions_created).sum()
+        self.counter("engine.actions_created")
     }
 }
 
 impl fmt::Display for ClusterReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "cluster report at {}", self.at)?;
+        let [partition, loss, crash] = [
+            "net.dropped_partition",
+            "net.dropped_loss",
+            "net.dropped_crashed",
+        ]
+        .map(|name| self.counter(name));
         writeln!(
             f,
             "  net: sent={} delivered={} dropped={} ({} partition / {} loss / {} crash), {} bytes",
-            self.net.sent,
-            self.net.delivered,
-            self.net.dropped(),
-            self.net.dropped_partition,
-            self.net.dropped_loss,
-            self.net.dropped_crashed,
-            self.net.bytes_delivered,
+            self.counter("net.sent"),
+            self.counter("net.delivered"),
+            partition + loss + crash,
+            partition,
+            loss,
+            crash,
+            self.counter("net.bytes_delivered"),
         )?;
         for s in &self.servers {
+            let [created, red, yellow, syncs, performed, exch, prims, sub, seq, safe, trans, confs] =
+                SERVER_COUNTERS.map(|name| s.counter(name));
             writeln!(
                 f,
-                "  {}: {:?} green={} created={} red={} yellow={} syncs={} (disk {} performed) \
-                 exch={} prims={} evs[sub={} seq={} safe={} trans={} confs={}]",
-                s.node,
-                s.state,
-                s.green,
-                s.engine.actions_created,
-                s.engine.marked_red,
-                s.engine.marked_yellow,
-                s.disk.sync_requests,
-                s.disk.syncs_performed,
-                s.engine.exchanges_completed,
-                s.engine.primaries_installed,
-                s.evs.submitted,
-                s.evs.sequenced,
-                s.evs.delivered_safe,
-                s.evs.delivered_trans,
-                s.evs.confs_installed,
+                "  {}: {:?} green={} created={created} red={red} yellow={yellow} syncs={syncs} \
+                 (disk {performed} performed) exch={exch} prims={prims} \
+                 evs[sub={sub} seq={seq} safe={safe} trans={trans} confs={confs}]",
+                s.node, s.state, s.green,
             )?;
         }
         Ok(())

@@ -32,7 +32,7 @@ use todr_core::{
 };
 use todr_db::keys::shard_of;
 use todr_db::{Op, Value};
-use todr_shard::{RouterStats, ShardRouter, ShardRouterConfig, ShardTopology};
+use todr_shard::{ShardRouter, ShardRouterConfig, ShardTopology};
 use todr_sim::{Actor, ActorId, Ctx, Payload, SimDuration, SimTime, World};
 
 use crate::checkers::{ConsistencyReport, ConsistencyViolation, ReplicaView};
@@ -462,12 +462,6 @@ impl ShardedCluster {
         self.with_engine(group, idx, |e| e.green_count())
     }
 
-    /// The router's aggregate progress counters.
-    pub fn router_stats(&mut self) -> RouterStats {
-        self.world
-            .with_actor(self.router, |r: &mut ShardRouter| r.stats())
-    }
-
     /// Cross-shard transactions still in flight at the router.
     pub fn router_pending(&mut self) -> usize {
         self.world
@@ -811,10 +805,11 @@ mod tests {
         let s2 = cluster.client_stats(c2);
         assert!(s1.committed > 0 && s2.committed > 0);
         assert_eq!(s1.rejected + s2.rejected, 0);
-        let stats = cluster.router_stats();
-        assert!(stats.singles_forwarded > 0, "{stats:?}");
-        assert!(stats.txns_applied > 0, "{stats:?}");
-        assert_eq!(stats.txns_started, stats.txns_applied, "{stats:?}");
+        let hub = cluster.world.metrics();
+        let applied = hub.counter("shard.txns_applied");
+        assert!(hub.counter("shard.single_routed") > 0);
+        assert!(applied > 0);
+        assert_eq!(hub.counter("shard.cross_routed"), applied);
         cluster.check_consistency();
         // Both groups made progress.
         assert!(cluster.green_count(0, 0) > 0);
@@ -829,8 +824,11 @@ mod tests {
         cluster.run_for(SimDuration::from_secs(1));
         cluster.stop_clients();
         assert!(cluster.run_to_router_quiescence(SimDuration::from_secs(10)));
-        let stats = cluster.router_stats();
-        assert_eq!(stats.txns_started, 0, "one shard never goes cross");
+        assert_eq!(
+            cluster.world.metrics().counter("shard.cross_routed"),
+            0,
+            "one shard never goes cross"
+        );
         assert!(cluster.client_stats(c).committed > 0);
         cluster.check_consistency();
     }

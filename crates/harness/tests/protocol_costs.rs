@@ -9,9 +9,7 @@ use todr_harness::baselines::{CorelCluster, TpcCluster};
 use todr_harness::client::ClientConfig;
 use todr_harness::cluster::{Cluster, ClusterConfig};
 use todr_harness::report::ClusterReport;
-use todr_net::NetFabric;
 use todr_sim::SimDuration;
-use todr_storage::DiskActor;
 
 const N: u32 = 5;
 const ACTIONS: u64 = 100;
@@ -34,7 +32,7 @@ fn engine_pays_one_forced_write_per_action_at_the_origin_only() {
 
     // Origin server: ~1 sync request per action (plus a handful for the
     // initial membership change).
-    let origin_syncs = report.servers[0].disk.sync_requests;
+    let origin_syncs = report.servers[0].counter("storage.sync_requests");
     assert!(
         (ACTIONS..ACTIONS + 10).contains(&origin_syncs),
         "origin made {origin_syncs} forced writes for {ACTIONS} actions"
@@ -42,10 +40,10 @@ fn engine_pays_one_forced_write_per_action_at_the_origin_only() {
     // Non-origin replicas: no per-action forced writes at all.
     for s in &report.servers[1..] {
         assert!(
-            s.disk.sync_requests < 10,
+            s.counter("storage.sync_requests") < 10,
             "replica {} made {} forced writes without creating actions",
             s.node,
-            s.disk.sync_requests
+            s.counter("storage.sync_requests")
         );
     }
 }
@@ -100,30 +98,20 @@ fn engine_network_cost_beats_corel_per_action() {
     let engine_msgs = {
         let mut cluster = Cluster::build(ClusterConfig::new(N, 64));
         cluster.settle();
-        let fabric = cluster.fabric;
-        cluster
-            .world
-            .with_actor(fabric, |f: &mut NetFabric| f.reset_stats());
+        let before = cluster.world.metrics().counter("net.sent");
         let client = cluster.attach_client(0, client_config());
         cluster.run_for(SimDuration::from_secs(3));
         assert_eq!(cluster.client_stats(client).committed, ACTIONS);
-        cluster
-            .world
-            .with_actor(fabric, |f: &mut NetFabric| f.stats().sent)
+        cluster.world.metrics().counter("net.sent") - before
     };
     let corel_msgs = {
         let mut cluster = CorelCluster::build(&ClusterConfig::new(N, 64));
         cluster.settle();
-        let fabric = cluster.fabric;
-        cluster
-            .world
-            .with_actor(fabric, |f: &mut NetFabric| f.reset_stats());
+        let before = cluster.world.metrics().counter("net.sent");
         let client = cluster.attach_client(0, client_config());
         cluster.run_for(SimDuration::from_secs(4));
         assert_eq!(cluster.client_stats(client).committed, ACTIONS);
-        cluster
-            .world
-            .with_actor(fabric, |f: &mut NetFabric| f.stats().sent)
+        cluster.world.metrics().counter("net.sent") - before
     };
     assert!(
         (engine_msgs as f64) < corel_msgs as f64 * 0.8,
@@ -148,26 +136,12 @@ fn membership_change_is_the_only_end_to_end_round() {
         );
         cluster.run_for(SimDuration::from_secs(6));
         assert_eq!(cluster.client_stats(client).committed, preload_actions);
-        let before: u64 = (0..N as usize)
-            .map(|i| {
-                let disk = cluster.servers[i].disk;
-                cluster
-                    .world
-                    .with_actor(disk, |d: &mut DiskActor| d.stats().sync_requests)
-            })
-            .sum();
+        let before = cluster.world.metrics().counter("storage.sync_requests");
         cluster.partition(&[vec![0, 1, 2], vec![3, 4]]);
         cluster.run_for(SimDuration::from_secs(1));
         cluster.merge_all();
         cluster.run_for(SimDuration::from_secs(1));
-        let after: u64 = (0..N as usize)
-            .map(|i| {
-                let disk = cluster.servers[i].disk;
-                cluster
-                    .world
-                    .with_actor(disk, |d: &mut DiskActor| d.stats().sync_requests)
-            })
-            .sum();
+        let after = cluster.world.metrics().counter("storage.sync_requests");
         let exchange_cost = after - before;
         assert!(
             exchange_cost < 60,

@@ -151,10 +151,14 @@ fn tiered_reads_return_correct_values() {
             panic!("{tier:?} read did not come back as a local QueryAnswer");
         }
     }
-    let stats = cluster.with_engine(2, |e| e.stats());
-    assert!(stats.lease_reads >= 1, "linearizable read not lease-served");
-    assert!(stats.snapshot_reads >= 1);
-    assert!(stats.overlay_reads >= 1);
+    let engine = cluster.servers[2].engine;
+    let count = |name| cluster.world.metrics().actor_counter(engine, name);
+    assert!(
+        count("engine.lease_reads") >= 1,
+        "linearizable read not lease-served"
+    );
+    assert!(count("engine.snapshot_reads") >= 1);
+    assert!(count("engine.overlay_reads") >= 1);
 
     // In a partitioned minority, a red (locally ordered, not yet green)
     // increment is visible to RedOverlay but never to GreenSnapshot.
@@ -246,12 +250,8 @@ fn lease_reads_park_behind_conflicting_receipted_writes() {
 
     let reads = cluster.client_stats(reader).reads;
     assert!(reads > 0, "reader made no progress");
-    let parked: u64 = (0..5)
-        .map(|i| cluster.with_engine(i, |e| e.stats().lease_reads_parked))
-        .sum();
-    let served: u64 = (0..5)
-        .map(|i| cluster.with_engine(i, |e| e.stats().lease_reads))
-        .sum();
+    let parked = cluster.world.metrics().counter("engine.lease_reads_parked");
+    let served = cluster.world.metrics().counter("engine.lease_reads");
     assert!(served > 0, "no lease reads served");
     assert!(
         parked > 0,
@@ -355,15 +355,16 @@ fn stale_holder_reads_reroute_never_stale() {
                     Some(Some(Value::Int(2))),
                     "{ctx}: re-routed read returned a stale value"
                 );
-                let stats = cluster.with_engine(4, |e| e.stats());
+                let engine = cluster.servers[4].engine;
+                let hub = cluster.world.metrics();
                 assert!(
-                    stats.ordered_reads >= 1,
+                    hub.actor_counter(engine, "engine.ordered_reads") >= 1,
                     "{ctx}: the post-expiry read was not re-routed"
                 );
                 // The holder re-entered a primary after the heal and
                 // sealed a fresh lease to the new configuration.
                 assert!(
-                    stats.lease_grants >= 2,
+                    hub.actor_counter(engine, "engine.lease_grants") >= 2,
                     "{ctx}: no fresh lease after the heal"
                 );
             }

@@ -13,7 +13,10 @@
 //!   commits). Checkers and oracles assert on these.
 //! * **Counters** — named monotone `u64`s (`"net.sent"`,
 //!   `"evs.retransmitted"`, ...), keyed by a dotted
-//!   `subsystem.metric` convention.
+//!   `subsystem.metric` convention. This is the only place counters
+//!   live: an increment made while an actor handles an event is also
+//!   attributed to that actor, readable per replica through
+//!   [`MetricsHub::actor_counter`] but not exported.
 //! * **Histograms** — fixed log₂-bucket latency distributions with O(1)
 //!   insert and O(#buckets) percentile queries; no per-sample storage
 //!   and no sort-on-query.
@@ -617,6 +620,14 @@ pub struct MetricsHub {
     /// stays one extra hash away from the unscoped one; the prefixed
     /// name string is built (and leaked) once per pair.
     scoped_slots: HashMap<(u32, usize), usize, BuildHasherDefault<NameKeyHasher>>,
+    /// Raw id of the actor handling the current event (set by
+    /// [`World::step`](crate::World::step)); `None` between events.
+    active_actor: Option<usize>,
+    /// `actor → root slot → count`: every counter write made while an
+    /// actor is active, attributed to that actor under the unscoped
+    /// name. Read through [`Self::actor_counter`]; deliberately not part
+    /// of [`MetricsExport`].
+    actor_counters: Vec<Vec<u64>>,
 }
 
 impl MetricsHub {
@@ -677,8 +688,25 @@ impl MetricsHub {
         }
     }
 
+    /// Selects the actor subsequent counter writes are attributed to
+    /// (`None` = no actor: writes count world-wide only).
+    pub fn set_active_actor(&mut self, actor: Option<ActorId>) {
+        self.active_actor = actor.map(|a| a.as_raw() as usize);
+        if let Some(idx) = self.active_actor {
+            if self.actor_counters.len() <= idx {
+                self.actor_counters.resize_with(idx + 1, Vec::new);
+            }
+        }
+    }
+
     fn scoped_slot(&mut self, name: &'static str) -> usize {
         let base = self.names.slot(name);
+        self.scoped_slot_of(base, name)
+    }
+
+    /// The slot `name` (interned at root slot `base`) resolves to in the
+    /// active scope.
+    fn scoped_slot_of(&mut self, base: usize, name: &'static str) -> usize {
         if self.active_scope == 0 {
             return base;
         }
@@ -699,8 +727,16 @@ impl MetricsHub {
     /// (`"net.sent"`, `"storage.forced_writes"`); keeping them
     /// `&'static str` makes call sites cheap and typo-diffable.
     pub fn incr(&mut self, name: &'static str, n: u64) {
-        let slot = self.scoped_slot(name);
+        let base = self.names.slot(name);
+        let slot = self.scoped_slot_of(base, name);
         *slot_mut(&mut self.counters, slot).get_or_insert(0) += n;
+        if let Some(actor) = self.active_actor {
+            let row = &mut self.actor_counters[actor];
+            if row.len() <= base {
+                row.resize(base + 1, 0);
+            }
+            row[base] += n;
+        }
     }
 
     /// Current value of a counter (0 if never incremented).
@@ -708,6 +744,22 @@ impl MetricsHub {
         self.names
             .lookup(name)
             .and_then(|slot| slot_value(&self.counters, slot))
+            .unwrap_or(0)
+    }
+
+    /// The part of a counter one actor contributed while handling its
+    /// events (0 if none). `name` is unscoped: an actor in scope `g0`
+    /// is read back by `"net.sent"`, not `"g0.net.sent"`. Increments
+    /// made outside any actor's event count only world-wide.
+    pub fn actor_counter(&self, actor: ActorId, name: &str) -> u64 {
+        self.names
+            .lookup(name)
+            .and_then(|slot| {
+                self.actor_counters
+                    .get(actor.as_raw() as usize)?
+                    .get(slot)
+                    .copied()
+            })
             .unwrap_or(0)
     }
 
@@ -1061,6 +1113,58 @@ mod tests {
         scoped.set_gauge("depth", 2);
         assert_eq!(build(), build());
         assert_eq!(scoped.export().to_json(), build());
+    }
+
+    #[test]
+    fn actor_attribution_leaves_the_export_unchanged() {
+        let build = |attribute: bool| {
+            let mut hub = MetricsHub::new();
+            let g0 = hub.register_scope("g0");
+            hub.incr("net.sent", 1);
+            if attribute {
+                hub.set_active_actor(Some(ActorId::from_raw(4)));
+            }
+            hub.set_active_scope(g0);
+            hub.incr("net.sent", 7);
+            hub.observe_nanos("lat", 55);
+            hub.set_gauge("depth", 2);
+            hub.set_active_scope(0);
+            hub.set_active_actor(None);
+            hub.export().to_json()
+        };
+        assert_eq!(build(true), build(false));
+    }
+
+    #[test]
+    fn scoped_actor_is_read_back_by_the_unscoped_name() {
+        let mut hub = MetricsHub::new();
+        let g1 = hub.register_scope("g1");
+        let (a, b) = (ActorId::from_raw(2), ActorId::from_raw(5));
+        hub.set_active_scope(g1);
+        hub.set_active_actor(Some(a));
+        hub.incr("net.sent", 3);
+        hub.set_active_actor(Some(b));
+        hub.incr("net.sent", 4);
+        hub.set_active_scope(0);
+        hub.set_active_actor(None);
+        assert_eq!(hub.counter("g1.net.sent"), 7);
+        assert_eq!(hub.actor_counter(a, "net.sent"), 3);
+        assert_eq!(hub.actor_counter(b, "net.sent"), 4);
+        assert_eq!(hub.actor_counter(a, "g1.net.sent"), 0);
+    }
+
+    #[test]
+    fn increments_outside_an_actor_count_world_wide_only() {
+        let mut hub = MetricsHub::new();
+        let a = ActorId::from_raw(1);
+        hub.set_active_actor(Some(a));
+        hub.incr("net.sent", 2);
+        hub.set_active_actor(None);
+        hub.incr("net.sent", 5);
+        assert_eq!(hub.counter("net.sent"), 7);
+        assert_eq!(hub.actor_counter(a, "net.sent"), 2);
+        assert_eq!(hub.actor_counter(ActorId::from_raw(9), "net.sent"), 0);
+        assert_eq!(hub.actor_counter(a, "never.written"), 0);
     }
 
     #[test]

@@ -373,6 +373,7 @@ impl World {
             .take()
             .expect("event delivered to an executing actor");
         self.metrics.set_active_scope(self.actors[idx].scope);
+        self.metrics.set_active_actor(Some(event.target));
         let mut ctx = Ctx {
             now: self.now,
             self_id: event.target,
@@ -384,6 +385,7 @@ impl World {
         actor.handle(&mut ctx, event.payload);
         let mut pending = ctx.pending;
         self.metrics.set_active_scope(0);
+        self.metrics.set_active_actor(None);
         self.actors[idx].actor = Some(actor);
         for (at, target, payload) in pending.drain(..) {
             self.push_event(at, target, payload);

@@ -57,7 +57,7 @@ mod file;
 mod store;
 
 pub use api::{FileIoStats, Storage, StorageHandle};
-pub use disk::{DiskActor, DiskDone, DiskMode, DiskOp, DiskStats, SyncToken};
+pub use disk::{DiskActor, DiskDone, DiskMode, DiskOp, SyncToken};
 pub use fault::InjectedFault;
 pub use file::FileStore;
 pub use store::{

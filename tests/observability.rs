@@ -6,6 +6,7 @@
 use todr::harness::client::ClientConfig;
 use todr::harness::cluster::{Cluster, ClusterConfig};
 use todr::harness::report::ClusterReport;
+use todr::harness::scenario::Scenario;
 use todr::sim::{MetricsExport, ProtocolEvent, SimDuration};
 
 fn run_loaded_cluster(config: ClusterConfig, secs: u64) -> Cluster {
@@ -233,4 +234,60 @@ fn fallible_cluster_api_reports_instead_of_panicking() {
     assert_eq!(report.replicas_checked, 3);
     assert!(report.max_green > 0);
     assert!(report.positions_compared > 0);
+}
+
+#[test]
+fn red_line_never_trails_the_green_line() {
+    // The observability example's timeline: partition, crash and
+    // recover replica 4, then join a fresh replica through replica 1
+    // (it starts from a snapshot with a green line in the thousands).
+    // A replica's red line is its locally ordered prefix, which always
+    // contains its green prefix.
+    let mut cluster = Cluster::build(ClusterConfig::new(5, 77));
+    cluster.settle();
+    for i in 0..5 {
+        cluster.attach_client(i, ClientConfig::default());
+    }
+    Scenario::new()
+        .after_ms(1_000)
+        .partition(vec![vec![0, 1, 2], vec![3, 4]])
+        .after_ms(1_000)
+        .crash(4)
+        .after_ms(500)
+        .merge_all()
+        .after_ms(500)
+        .recover(4)
+        .after_ms(1_000)
+        .join_via(1)
+        .after_ms(2_000)
+        .done()
+        .run(&mut cluster);
+
+    let mut green = std::collections::BTreeMap::new();
+    let mut red_advances = 0;
+    for e in cluster.world.metrics().events() {
+        match e.event {
+            ProtocolEvent::GreenLineAdvance { node, green: g } => {
+                green.insert(node, g);
+            }
+            ProtocolEvent::EngineCrashed { node } => {
+                green.remove(&node);
+            }
+            ProtocolEvent::RedLineAdvance { node, red } => {
+                red_advances += 1;
+                let g = green.get(&node).copied().unwrap_or(0);
+                assert!(
+                    red >= g,
+                    "node {node} reported red line {red} below its green line {g} at {}ns",
+                    e.at_nanos
+                );
+            }
+            _ => {}
+        }
+    }
+    assert!(red_advances > 0);
+    assert!(
+        green.contains_key(&5),
+        "the joiner never advanced its green line"
+    );
 }
